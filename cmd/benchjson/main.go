@@ -1,15 +1,15 @@
 // Command benchjson converts `go test -bench -benchmem` output into a
 // machine-readable JSON summary, optionally computing speedups against a
 // committed baseline. It backs the CI bench smoke step, which publishes
-// BENCH_pr4.json per commit to seed the performance trajectory.
+// BENCH_pr10.json per commit to track the performance trajectory.
 //
 // Usage:
 //
-//	go test -run NONE -bench . -benchmem . | benchjson -baseline bench/baseline_pr3.json -o BENCH_pr4.json
+//	go test -run NONE -bench . -benchmem . | benchjson -baseline bench/baseline_pr8.json -o BENCH_pr10.json
 //
 // The baseline file maps benchmark name → ns/op of the committed reference
-// (see bench/baseline_pr3.json: the streaming Monte-Carlo core measured
-// when PR 3 landed). Keys starting with "_" are comments — free-form
+// (see bench/baseline_pr8.json: the Table-1 ladder and warm oracle serve
+// path measured when PR 8 landed). Keys starting with "_" are comments — free-form
 // strings documenting why the baseline holds the values it does (e.g. a
 // waived regression) — and are ignored. Speedup is baseline ns/op divided
 // by current ns/op for every benchmark present in both. Custom throughput

@@ -32,18 +32,20 @@
 // one query shows up under one ID on every replica it touches, and each
 // request builds a span tree — queue, coalesce_wait, build, extend,
 // forward (with per-attempt and hedge children), serialize — plus one
-// structured log line with the phase breakdown. Finished traces feed a
-// flight recorder (-trace-buf) with tail sampling: errors, hedged and
-// breaker-affected requests, and anything over -trace-threshold are
-// kept unconditionally, the boring rest with probability -trace-sample.
+// structured log line summing the root's child spans by name. Finished
+// traces feed a flight recorder (-trace-buf) with tail sampling: errors,
+// hedged and breaker-affected requests, and anything over
+// -trace-threshold are kept unconditionally, the boring rest with
+// probability -trace-sample.
 // Browse it at /debug/traces (list) and /debug/traces?id=<traceID>
 // (full span tree). Latency histogram buckets on /metrics carry
 // exemplar trace IDs linking straight back to recorded traces.
 //
-// With -diagdir, a watchdog self-scrapes /metrics and, on anomaly —
-// windowed request p99 over budget, a circuit breaker opening, or a
-// readiness flap — writes a diagnostics bundle (recent traces, metrics
-// snapshot, goroutine and heap profiles) into the directory.
+// With -diagdir, a watchdog reads the /metrics registry in place and,
+// on anomaly — windowed request p99 over budget, a circuit breaker
+// opening, or a readiness flap — writes a diagnostics bundle (recent
+// traces, metrics snapshot, goroutine and heap profiles) into the
+// directory.
 //
 // Metrics — cache hit/miss/coalesce counters, build/extend latency
 // histograms, per-peer forward/hedge/breaker state, request duration by
@@ -64,7 +66,6 @@
 //	GET  /healthz/live          bare liveness probe
 //	GET  /healthz/ready         readiness (503 while booting/draining)
 //	GET  /metrics               Prometheus text exposition (with exemplars)
-//	GET  /debug/vars            expvar: cache, snapshot, and cluster stats
 //	GET  /debug/traces          flight recorder: recent trace summaries
 //	GET  /debug/traces?id=...   one recorded trace's full span tree
 //	GET  /debug/pprof/          profiling (only with -pprof)
@@ -147,7 +148,6 @@ func run(logger *slog.Logger) error {
 	bootG := reg.Gauge("serve_boot_to_ready_seconds", "Seconds from process start to first ready, warm boot included.")
 
 	o := oracle.New(*cache)
-	o.Publish("oracle")
 	o.Instrument(reg)
 	srv := oracle.NewServer(o, *workers)
 	srv.SetReady(false) // not ready until the warm boot (if any) finishes
@@ -205,7 +205,6 @@ func run(logger *slog.Logger) error {
 			Peers: list,
 			Logf:  logf,
 		})
-		cluster.Publish("cluster")
 		cluster.Instrument(reg)
 		handler = cluster.Handler()
 		logger.Info("replicated serving", "peers", len(list), "self", *self)

@@ -100,8 +100,6 @@ func (n *Node) consider(b *Block) {
 // Strategy is an adversarial behavior plugged into the simulator. All hooks
 // are optional through the embedded NullStrategy.
 type Strategy interface {
-	// Name identifies the strategy in reports.
-	Name() string
 	// OnSlotStart runs before the slot's honest leaders act; the rushing
 	// adversary may deliver chains to chosen nodes here.
 	OnSlotStart(sim *Sim, slot int)
@@ -182,17 +180,11 @@ func NewSim(cfg Config) (*Sim, error) {
 // Genesis returns the genesis block.
 func (s *Sim) Genesis() *Block { return s.genesis }
 
-// Keys exposes the keyring (the adversary signs with its parties' keys).
-func (s *Sim) Keys() *Keyring { return s.cfg.Keys }
-
 // Schedule returns the public leader schedule.
 func (s *Sim) Schedule() *leader.Schedule { return s.cfg.Schedule }
 
 // Nodes returns the honest nodes.
 func (s *Sim) Nodes() []*Node { return s.nodes }
-
-// Node returns the honest node with the given party ID, nil if absent.
-func (s *Sim) Node(id int) *Node { return s.nodeByID[id] }
 
 // Slot returns the current slot (0 before Run starts).
 func (s *Sim) Slot() int { return s.slot }

@@ -14,9 +14,6 @@ import (
 // Embed it to implement only selected hooks.
 type NullStrategy struct{}
 
-// Name implements Strategy.
-func (NullStrategy) Name() string { return "null" }
-
 // OnSlotStart implements Strategy.
 func (NullStrategy) OnSlotStart(*Sim, int) {}
 
@@ -55,9 +52,6 @@ type PrivateChainStrategy struct {
 	counter uint64
 }
 
-// Name implements Strategy.
-func (p *PrivateChainStrategy) Name() string { return "private-chain" }
-
 // OnSlotStart anchors the private fork just before the target slot.
 func (p *PrivateChainStrategy) OnSlotStart(sim *Sim, slot int) {
 	if slot != p.Target {
@@ -85,9 +79,6 @@ func (p *PrivateChainStrategy) OnAdversarialSlot(sim *Sim, slot int, leaders []i
 	binary.BigEndian.PutUint64(payload[:], p.counter)
 	p.private = sim.MintAdversarial(leaders[0], slot, p.private, payload[:])
 }
-
-// PrivateTip returns the private fork's tip (nil before the attack starts).
-func (p *PrivateChainStrategy) PrivateTip() *Block { return p.private }
 
 // Succeeded reports whether the private fork currently matches the best
 // honest chain in length while diverging prior to the target slot: the
@@ -137,9 +128,6 @@ type MarginStrategy struct {
 func NewMarginStrategy() *MarginStrategy {
 	return &MarginStrategy{astar: adversary.NewAStar(), bind: map[int]*Block{}}
 }
-
-// Name implements Strategy.
-func (m *MarginStrategy) Name() string { return "margin-optimal" }
 
 // OnAdversarialSlot banks the slot: A* spends adversarial slots lazily as
 // pad material for later conservative extensions, so no block is published
@@ -454,9 +442,6 @@ type DelayStrategy struct {
 	NullStrategy
 	Delta int
 }
-
-// Name implements Strategy.
-func (d *DelayStrategy) Name() string { return fmt.Sprintf("max-delay(Δ=%d)", d.Delta) }
 
 // OnHonestBlock implements Strategy: schedule delivery at the Δ bound.
 func (d *DelayStrategy) OnHonestBlock(sim *Sim, b *Block) {

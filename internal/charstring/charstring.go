@@ -202,9 +202,6 @@ func (w String) HonestCount() int {
 // HHHeavy reports whether w is hH-heavy: #h(w) + #H(w) > #A(w).
 func (w String) HHHeavy() bool { return w.HonestCount() > w.Count(Adversarial) }
 
-// AHeavy reports whether w is A-heavy (not hH-heavy): #A(w) ≥ #h(w) + #H(w).
-func (w String) AHeavy() bool { return !w.HHHeavy() }
-
 // IntervalHHHeavy reports whether the closed slot interval [i, j] of w is
 // hH-heavy.
 func (w String) IntervalHHHeavy(i, j int) bool {
@@ -253,16 +250,6 @@ func (w String) Leq(v String) bool {
 	return true
 }
 
-// Bivalent reports whether w uses only the symbols {H, A} (Definition 8).
-func (w String) Bivalent() bool {
-	for _, s := range w {
-		if s != MultiHonest && s != Adversarial {
-			return false
-		}
-	}
-	return true
-}
-
 // SemiSync reports whether w is a valid semi-synchronous string
 // ({⊥, h, H, A}); a synchronous string is trivially semi-synchronous.
 func (w String) SemiSync() bool {
@@ -305,13 +292,5 @@ func (w String) Relax() String {
 			c[i] = MultiHonest
 		}
 	}
-	return c
-}
-
-// Concat returns the concatenation w‖v as a fresh string.
-func Concat(w, v String) String {
-	c := make(String, 0, len(w)+len(v))
-	c = append(c, w...)
-	c = append(c, v...)
 	return c
 }

@@ -66,10 +66,6 @@ func (p Params) Q() float64 { return (1 + p.Epsilon) / 2 }
 // stationary reach law X∞ (Eq. 9).
 func (p Params) Beta() float64 { return (1 - p.Epsilon) / (1 + p.Epsilon) }
 
-// Bivalent reports whether ph = 0, i.e. whether samples are bivalent {H,A}
-// strings (the Theorem 2 regime).
-func (p Params) Bivalent() bool { return p.Ph == 0 }
-
 // Sample draws a length-T characteristic string satisfying the
 // (ǫ, ph)-Bernoulli condition using the supplied source.
 func (p Params) Sample(rng *rand.Rand, T int) String {
@@ -88,20 +84,6 @@ func (p Params) Sample(rng *rand.Rand, T int) String {
 		}
 	}
 	return w
-}
-
-// SampleSymbol draws a single symbol under the per-slot law.
-func (p Params) SampleSymbol(rng *rand.Rand) Symbol {
-	u := rng.Float64()
-	pA := p.PA()
-	switch {
-	case u < pA:
-		return Adversarial
-	case u < pA+p.Ph:
-		return UniqueHonest
-	default:
-		return MultiHonest
-	}
 }
 
 // threshold converts a probability into a raw-uint64 cumulative cut: a

@@ -59,9 +59,6 @@ func (ws *WindowStream) CopyFrom(src *WindowStream) {
 	ws.best = src.best
 }
 
-// Len returns the number of symbols consumed.
-func (ws *WindowStream) Len() int { return ws.st.Len() }
-
 // Certified returns the certified lower bound on the final longest
 // UVP-free window: the best gap between candidate pushes so far, or the
 // trailing candidate-free run, whichever is longer.

@@ -96,17 +96,6 @@ func (s Series) DivOneMinus(t Series) (Series, error) {
 	return out, nil
 }
 
-// PartialSums returns the running sums Σ_{i≤k} s_i for k = 0..Degree.
-func (s Series) PartialSums() []float64 {
-	out := make([]float64, len(s))
-	acc := 0.0
-	for i, v := range s {
-		acc += v
-		out[i] = acc
-	}
-	return out
-}
-
 // TailFrom returns 1 − Σ_{i<k} s_i, the mass at indices ≥ k of a
 // probability generating function (one whose coefficients sum to 1).
 // Values are clamped at 0 to absorb floating-point residue.

@@ -145,12 +145,6 @@ func HasUVP(w charstring.String, s int) bool {
 	return true
 }
 
-// XBalancedForkExists reports whether some x-balanced fork exists for
-// w = xy with |x| = xlen (Fact 6): µ_x(y) ≥ 0.
-func XBalancedForkExists(w charstring.String, xlen int) bool {
-	return RelativeMargin(w, xlen) >= 0
-}
-
 // SettlementViolated reports whether slot s fails to be k-settled in w in
 // the sense witnessed by relative margin: some prefix w[:t] with
 // t ≥ s + k admits an x-balanced fork for x = w[:s−1] (Observation 2 with

@@ -35,16 +35,6 @@ import (
 // runner.Estimate re-exported so downstream code can stay on the mc API.
 type Estimate = runner.Estimate
 
-// mustRun executes a job whose verdict cannot fail; any error therefore
-// indicates a programming bug in this package and panics.
-func mustRun(cfg runner.Config, sample runner.Sampler, verdict runner.Verdict) Estimate {
-	e, err := runner.Run(cfg, sample, verdict)
-	if err != nil {
-		panic(fmt.Sprintf("mc: infallible experiment failed: %v", err))
-	}
-	return e
-}
-
 // BernoulliSampler draws length-T strings under the (ǫ, ph)-Bernoulli law —
 // the sampler of the slice-based oracle path (the streaming path uses
 // StreamBernoulliSampler).
@@ -117,13 +107,6 @@ func SettlementViolation(p charstring.Params, m, k, n int, seed int64, workers i
 	return mustRunBlocks(runner.Config{N: n, Seed: seed, Workers: workers, Name: "e3_settlement_violation"}, m+k,
 		BlockBernoulliMaskSampler(p),
 		func() *settlementStream { return newSettlementStream(m, m+k) })
-}
-
-// ConsistentTiesUnsettled estimates the settlement failure certificate
-// under axiom A0′ at ph = 0 (the Theorem 2 regime): the window [s, s+k−1]
-// has no consecutive-Catalan UVP certificate.
-func ConsistentTiesUnsettled(epsilon float64, s, k, tail, n int, seed int64, workers int) Estimate {
-	return NoConsecutiveCatalan(epsilon, s, k, tail, n, seed, workers)
 }
 
 // CPViolationVerdict reports the Theorem 8 event: the string has a UVP-free

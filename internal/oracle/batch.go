@@ -99,7 +99,7 @@ func (o *Oracle) Batch(queries []BatchQuery, workers int) ([]BatchResult, BatchP
 }
 
 // BatchCtx is Batch with per-group lock waits and DP work charged to the
-// request trace carried by ctx; group workers share the one trace (phase
+// request trace carried by ctx; group workers share the one trace (span
 // recording is atomic).
 func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int) ([]BatchResult, BatchPlan, error) {
 	return o.batch(telemetry.TraceFrom(ctx), queries, workers)

@@ -3,7 +3,6 @@ package oracle
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -206,12 +205,6 @@ func (c *Cluster) Stats() ClusterStats {
 	return st
 }
 
-// Publish registers the cluster stats as an expvar variable (names are
-// process-global; call once per process).
-func (c *Cluster) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return c.Stats() }))
-}
-
 // Handler returns the replicated route table: the Server's routes with
 // key-addressable GETs intercepted for sharding.
 func (c *Cluster) Handler() http.Handler { return c }
@@ -316,7 +309,6 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 	tr := telemetry.TraceFrom(r.Context())
 	fwdSpan := tr.StartSpan("forward", tr.Root())
 	fwdSpan.SetAttr("peer", owner)
-	fwdStart := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), c.fwdTimeout)
 	defer cancel()
 
@@ -350,7 +342,6 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 		case br := <-fwdc:
 			if br != nil {
 				cancel() // drop a still-running hedge's budget
-				tr.Add(telemetry.PhaseForward, time.Since(fwdStart))
 				fwdSpan.SetAttr("winner", "peer")
 				fwdSpan.End()
 				writeBuffered(w, br)

@@ -19,7 +19,7 @@ type oracleMetrics struct {
 // Every counter family — the per-op query counts and the cache
 // statistics — is exported as a func-backed series over the atomics the
 // oracle already maintains for Stats: the warm serve path pays no second
-// counter write, and the Prometheus view cannot drift from /debug/vars.
+// counter write, and the Prometheus view cannot drift from Stats.
 // Only the build/extend latency histograms record inline, and those sit
 // on the cold path by definition.
 func (o *Oracle) Instrument(reg *telemetry.Registry) {

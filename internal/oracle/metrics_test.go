@@ -85,11 +85,11 @@ func TestOracleWarmServeZeroAllocsInstrumented(t *testing.T) {
 }
 
 // TestTelemetryStatsConsistency drives an instrumented oracle through a
-// randomized concurrent workload and checks the two bookkeeping systems
-// — the legacy expvar Stats counters and the telemetry registry — agree
-// exactly on every shared quantity. The two are recorded at the same
-// call sites but through different mechanisms (atomic fields vs. metric
-// handles), so a drifting pair means an instrumentation bug, not load.
+// randomized concurrent workload and checks /metrics ≡ Stats(): the
+// telemetry registry and the Stats counters agree exactly on every
+// shared quantity. The two are recorded at the same call sites but
+// through different mechanisms (atomic fields vs. metric handles), so a
+// drifting pair means an instrumentation bug, not load.
 func TestTelemetryStatsConsistency(t *testing.T) {
 	o := New(4) // smaller than the point set, so evictions happen
 	reg := telemetry.New()

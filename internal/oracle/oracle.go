@@ -37,7 +37,6 @@ package oracle
 import (
 	"container/list"
 	"context"
-	"expvar"
 	"fmt"
 	"math"
 	"sync"
@@ -124,8 +123,8 @@ type entry struct {
 	evicted atomic.Bool
 }
 
-// Stats is a point-in-time snapshot of the oracle's counters, also the
-// expvar document published by Publish.
+// Stats is a point-in-time snapshot of the oracle's counters; /metrics
+// exports the same counters (see Instrument).
 type Stats struct {
 	Entries            int   `json:"entries"`
 	Hits               int64 `json:"hits"`
@@ -249,8 +248,7 @@ func (o *Oracle) lookup(alpha, ph, tau float64, tr *telemetry.Trace) (*entry, er
 // lockEntry takes the entry lock, counting the acquisition as a coalesced
 // wait when another goroutine already holds it (the waiter will reuse
 // whatever build or extension the holder completes). The blocked time is
-// charged to the request trace's coalesce_wait phase and recorded as a
-// coalesce_wait span under the request's root.
+// recorded as a coalesce_wait span under the request's root.
 func (o *Oracle) lockEntry(e *entry, tr *telemetry.Trace) {
 	if e.mu.TryLock() {
 		return
@@ -258,9 +256,7 @@ func (o *Oracle) lockEntry(e *entry, tr *telemetry.Trace) {
 	o.coalesced.Add(1)
 	start := time.Now()
 	e.mu.Lock()
-	blocked := time.Since(start)
-	tr.Add(telemetry.PhaseCoalesceWait, blocked)
-	tr.AddSpan("coalesce_wait", tr.Root(), start, blocked)
+	tr.AddSpan("coalesce_wait", tr.Root(), start, time.Since(start))
 }
 
 // accountLocked refreshes the entry's resident-byte contribution after a
@@ -337,8 +333,8 @@ func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattic
 // recordWork classifies finished DP work on entry e: prev == 0 was a
 // cold build, anything else an incremental extension of prev → k. The
 // duration lands in the matching latency histogram (with an exemplar
-// linking the bucket to this trace), trace phase, and a build/extend
-// span under the request's root carrying the canonical key and the
+// linking the bucket to this trace) and a build/extend span under the
+// request's root carrying the canonical key and the
 // number of lattice steps computed. DP work is inherently a cold path,
 // so the span's key attribute may allocate.
 func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetry.Trace) {
@@ -352,12 +348,10 @@ func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetr
 		o.builds.Add(1)
 		o.buildNS.Add(int64(d))
 		o.met.build.ObserveWithExemplar(d.Seconds(), trID)
-		tr.Add(telemetry.PhaseBuild, d)
 	} else {
 		o.extends.Add(1)
 		o.extendNS.Add(int64(d))
 		o.met.extend.ObserveWithExemplar(d.Seconds(), trID)
-		tr.Add(telemetry.PhaseExtend, d)
 	}
 	if sp := tr.AddSpan(name, tr.Root(), start, d); sp.Active() {
 		sp.SetAttr("key", fmt.Sprintf("%d/%d", e.key.AlphaBP, e.key.FracBP))
@@ -547,11 +541,4 @@ func (o *Oracle) Stats() Stats {
 		SnapshotLoaded:     o.snapLoaded.Load(),
 		SnapshotBadSects:   o.snapQuarantined.Load(),
 	}
-}
-
-// Publish registers the oracle's Stats snapshot as the expvar variable of
-// the given name (served on /debug/vars). expvar names are process-global
-// and non-removable, so call Publish at most once per name per process.
-func (o *Oracle) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return o.Stats() }))
 }

@@ -3,7 +3,6 @@ package oracle
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -28,7 +27,6 @@ import (
 //	GET  /healthz                                   liveness + cache gauge
 //	GET  /healthz/live                              bare liveness probe
 //	GET  /healthz/ready                             readiness (503 while warming/draining)
-//	GET  /debug/vars                                expvar (incl. oracle stats)
 type Server struct {
 	o       *Oracle
 	workers int // batch executor pool size (≤ 0 selects all CPUs)
@@ -62,7 +60,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /healthz/live", s.handleLive)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 
@@ -83,24 +80,21 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
 }
 
-// writeJSONTraced is writeJSON with the encode time charged to the
-// request trace's serialize phase and recorded as a serialize span.
+// writeJSONTraced is writeJSON with the encode time recorded as a
+// serialize span under the request's root.
 func writeJSONTraced(tr *telemetry.Trace, w http.ResponseWriter, status int, v any) {
 	start := time.Now()
 	writeJSON(w, status, v)
-	d := time.Since(start)
-	tr.Add(telemetry.PhaseSerialize, d)
-	tr.AddSpan("serialize", tr.Root(), start, d)
+	tr.AddSpan("serialize", tr.Root(), start, time.Since(start))
 }
 
 // traceOf pulls the request trace out of the context (nil — inert — when
-// the server runs without the telemetry middleware) and closes its queue
-// phase: the time between the trace's birth at the HTTP edge and the
-// handler actually starting on the query. The same interval lands as a
-// queue span under the root, so the tree shows routing overhead.
+// the server runs without the telemetry middleware) and records a queue
+// span under its root: the time between the trace's birth at the HTTP
+// edge and the handler actually starting on the query, so the tree shows
+// routing overhead.
 func traceOf(r *http.Request) *telemetry.Trace {
 	tr := telemetry.TraceFrom(r.Context())
-	tr.MarkQueueDone()
 	tr.AddSpan("queue", tr.Root(), tr.Start(), time.Since(tr.Start()))
 	return tr
 }

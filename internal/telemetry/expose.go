@@ -30,27 +30,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString(f.kind)
 		bw.WriteByte('\n')
 		for _, s := range f.sortedSeries() {
-			switch {
-			case s.c != nil:
-				writeSample(bw, f.name, f.labelKeys, s.labelVals, "", "", float64(s.c.Value()))
-			case s.g != nil:
-				writeSample(bw, f.name, f.labelKeys, s.labelVals, "", "", s.g.Value())
-			case s.fn != nil:
-				writeSample(bw, f.name, f.labelKeys, s.labelVals, "", "", s.fn())
-			case s.h != nil:
-				counts := s.h.snapshot()
-				var cum uint64
-				for i, c := range counts {
-					cum += c
-					le := "+Inf"
-					if i < len(s.h.bounds) {
-						le = formatFloat(s.h.bounds[i])
-					}
-					writeSampleEx(bw, f.name+"_bucket", f.labelKeys, s.labelVals, "le", le, float64(cum), s.h.BucketExemplar(i))
-				}
-				writeSample(bw, f.name+"_sum", f.labelKeys, s.labelVals, "", "", s.h.Sum())
-				writeSample(bw, f.name+"_count", f.labelKeys, s.labelVals, "", "", float64(cum))
+			if s.h == nil {
+				writeSample(bw, f.name, f.labelKeys, s.labelVals, "", "", s.value())
+				continue
 			}
+			counts := s.h.snapshot()
+			var cum uint64
+			for i, c := range counts {
+				cum += c
+				le := "+Inf"
+				if i < len(s.h.bounds) {
+					le = formatFloat(s.h.bounds[i])
+				}
+				writeSampleEx(bw, f.name+"_bucket", f.labelKeys, s.labelVals, "le", le, float64(cum), s.h.BucketExemplar(i))
+			}
+			writeSample(bw, f.name+"_sum", f.labelKeys, s.labelVals, "", "", s.h.Sum())
+			writeSample(bw, f.name+"_count", f.labelKeys, s.labelVals, "", "", float64(cum))
 		}
 	}
 	return bw.Flush()

@@ -10,7 +10,8 @@ import (
 
 // HTTPMetrics is the edge instrumentation of an HTTP service: request
 // counts and duration histograms by (endpoint, status), plus an in-flight
-// gauge. Construct with NewHTTPMetrics and wrap handlers with Middleware.
+// gauge. Construct with NewHTTPMetrics and wrap handlers with
+// MiddlewareWith.
 type HTTPMetrics struct {
 	requests *CounterVec
 	duration *HistogramVec
@@ -39,7 +40,7 @@ var knownEndpoints = map[string]bool{
 	"/v1/depth": true, "/v1/curve": true, "/v1/failure": true,
 	"/v1/cell": true, "/v1/bracket": true, "/v1/batch": true,
 	"/healthz": true, "/healthz/live": true, "/healthz/ready": true,
-	"/metrics": true, "/debug/vars": true, "/debug/traces": true,
+	"/metrics": true, "/debug/traces": true,
 }
 
 // Endpoint normalizes a request path onto the bounded endpoint label set.
@@ -98,12 +99,6 @@ type MiddlewareConfig struct {
 	DebugSpans bool
 }
 
-// Middleware wraps next with the default telemetry edge (metrics +
-// request log, no recorder). See MiddlewareWith.
-func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger) http.Handler {
-	return MiddlewareWith(next, MiddlewareConfig{Metrics: m, Logger: logger})
-}
-
 // MiddlewareWith wraps next with the telemetry edge: it adopts a valid
 // incoming TraceHeader (malformed or non-16-hex values are discarded
 // and a fresh ID minted), opens the request's root span, stores the
@@ -111,8 +106,8 @@ func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger) http.Han
 // the response, records the (endpoint, status) duration histogram with
 // an exemplar linking the latency bucket to this trace, seals the trace,
 // offers it to the flight recorder, and emits one structured request
-// log line with the trace ID and phase breakdown (suppressed for health
-// probes and metric scrapes).
+// log line with the trace ID and the root's child spans summed by name
+// (suppressed for health probes and metric scrapes).
 func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 	m := cfg.Metrics
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -150,7 +145,7 @@ func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 				slog.Int("status", sw.status),
 				slog.Int("bytes", sw.bytes),
 				slog.Duration("elapsed", elapsed),
-				slog.String("phases", tr.PhaseString()),
+				slog.String("phases", tr.logSummary()),
 			)
 			if cfg.DebugSpans && cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
 				logSpans(r, cfg.Logger, tr, kept)

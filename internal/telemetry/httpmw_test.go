@@ -14,11 +14,10 @@ func TestMiddlewareMintsAndEchoesTraceID(t *testing.T) {
 	r := New()
 	m := NewHTTPMetrics(r, "serve")
 	var seen *Trace
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		seen = TraceFrom(req.Context())
-		seen.Add(PhaseBuild, 2*time.Millisecond)
 		w.WriteHeader(http.StatusOK)
-	}), m, nil)
+	}), MiddlewareConfig{Metrics: m})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cell?x=1", nil))
@@ -38,9 +37,9 @@ func TestMiddlewareMintsAndEchoesTraceID(t *testing.T) {
 
 func TestMiddlewareAdoptsIncomingTraceID(t *testing.T) {
 	var got string
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		got = TraceFrom(req.Context()).ID
-	}), nil, nil)
+	}), MiddlewareConfig{})
 	req := httptest.NewRequest("GET", "/v1/depth", nil)
 	req.Header.Set(TraceHeader, "f0f1f2f3f4f5f6f7")
 	h.ServeHTTP(httptest.NewRecorder(), req)
@@ -64,9 +63,9 @@ func TestMiddlewareRejectsMalformedTraceID(t *testing.T) {
 		strings.Repeat("a", 1024), // oversized
 	} {
 		var got string
-		h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			got = TraceFrom(req.Context()).ID
-		}), nil, nil)
+		}), MiddlewareConfig{})
 		req := httptest.NewRequest("GET", "/v1/depth", nil)
 		req.Header.Set(TraceHeader, bad)
 		rec := httptest.NewRecorder()
@@ -83,18 +82,27 @@ func TestMiddlewareRejectsMalformedTraceID(t *testing.T) {
 	}
 }
 
+// TestMiddlewareLogsTraceAndPhases pins the request log line: the
+// phases field sums the closed spans directly under the root by name in
+// first-seen order (grandchildren are left to the span tree), and an
+// overflowed span arena is reported, not silently truncated.
 func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		TraceFrom(req.Context()).Add(PhaseExtend, 3*time.Millisecond)
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		tr := TraceFrom(req.Context())
+		now := time.Now()
+		ext := tr.AddSpan("extend", tr.Root(), now, 3*time.Millisecond)
+		tr.AddSpan("hedge_local", ext, now, time.Millisecond)
+		tr.AddSpan("build", tr.Root(), now, 3*time.Millisecond)
+		tr.AddSpan("build", tr.Root(), now, 2*time.Millisecond)
 		w.WriteHeader(http.StatusBadRequest)
-	}), nil, logger)
+	}), MiddlewareConfig{Logger: logger})
 	req := httptest.NewRequest("GET", "/v1/curve", nil)
 	req.Header.Set(TraceHeader, "aaaabbbbccccdddd")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	log := buf.String()
-	for _, want := range []string{"trace=aaaabbbbccccdddd", "status=400", "extend=3ms", "path=/v1/curve"} {
+	for _, want := range []string{"trace=aaaabbbbccccdddd", "status=400", `phases="extend=3ms build=5ms"`, "path=/v1/curve"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("log line missing %q: %s", want, log)
 		}
@@ -104,6 +112,18 @@ func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 	if strings.Contains(buf.String(), "/healthz/ready") {
 		t.Errorf("probe request was logged: %s", buf.String())
 	}
+
+	buf.Reset()
+	overflow := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		tr := TraceFrom(req.Context())
+		for i := 0; i < MaxSpans+1; i++ { // the root already holds one slot
+			tr.AddSpan("build", tr.Root(), time.Now(), time.Millisecond)
+		}
+	}), MiddlewareConfig{Logger: logger})
+	overflow.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/batch", nil))
+	if want := `phases="build=31ms dropped_spans=2"`; !strings.Contains(buf.String(), want) {
+		t.Errorf("overflowed trace log missing %q: %s", want, buf.String())
+	}
 }
 
 func TestEndpointNormalization(t *testing.T) {
@@ -111,6 +131,7 @@ func TestEndpointNormalization(t *testing.T) {
 		"/v1/cell":           "/v1/cell",
 		"/healthz/ready":     "/healthz/ready",
 		"/metrics":           "/metrics",
+		"/debug/vars":        "other",
 		"/debug/pprof/heap":  "/debug/pprof",
 		"/etc/passwd":        "other",
 		"/v1/cell/../secret": "other",
@@ -125,9 +146,9 @@ func TestEndpointNormalization(t *testing.T) {
 func TestMiddlewareStatusDefault(t *testing.T) {
 	r := New()
 	m := NewHTTPMetrics(r, "serve")
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Write([]byte("implicit 200")) // no WriteHeader call
-	}), m, nil)
+	}), MiddlewareConfig{Metrics: m})
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 	if got := m.requests.With("/healthz", "200").Value(); got != 1 {
 		t.Fatalf("implicit 200 not recorded: %d", got)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -55,6 +56,14 @@ func TestScrapeRoundTrip(t *testing.T) {
 	cell := sc.Buckets("rt_seconds", func(l map[string]string) bool { return l["endpoint"] == "/v1/cell" })
 	if cell[0.1] != 1 || cell[1] != 2 {
 		t.Fatalf("cell buckets = %v", cell)
+	}
+
+	// The watchdog's in-place registry read agrees with the scrape.
+	if _, inPlace := r.read("rt_seconds"); !maps.Equal(inPlace, buckets) {
+		t.Fatalf("in-place buckets %v, scraped %v", inPlace, buckets)
+	}
+	if vals, _ := r.read("rt_peer_total"); len(vals) != 2 || vals[0]+vals[1] != 12 {
+		t.Fatalf("in-place per-peer values = %v", vals)
 	}
 }
 

@@ -1,18 +1,18 @@
 package telemetry
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 )
 
-// This file grows the flat phase timers of trace.go into a span tree:
-// every unit of request work (queue wait, coalesced wait, DP build,
-// curve extension, peer forward, hedged local compute, serialization)
-// can open a named span with a parent, a start offset, a duration, and
-// a few key=value attributes. The design constraint is the same one the
-// phase array lives under: recording must never allocate and never take
-// a lock, because spans are created on the oracle serve path whose
-// zero-allocation contract is pinned by tests and a CI perf gate.
+// This file holds the span tree of a Trace: every unit of request work
+// (queue wait, coalesced wait, DP build, curve extension, peer forward,
+// hedged local compute, serialization) opens a named span with a parent,
+// a start offset, a duration, and a few key=value attributes. Recording
+// must never allocate and never take a lock, because spans are created on
+// the oracle serve path whose zero-allocation contract is pinned by tests
+// and a CI perf gate.
 //
 // Spans therefore live in a fixed-capacity arena embedded in the Trace
 // itself. A writer reserves a slot with one atomic add, fills the
@@ -232,14 +232,13 @@ type SpanSnapshot struct {
 // TraceSnapshot is a consistent copy of one trace for JSON export —
 // the /debug/traces payload element. Allocates; scrape-path only.
 type TraceSnapshot struct {
-	ID           string           `json:"id"`
-	Start        time.Time        `json:"start"`
-	DurNS        int64            `json:"dur_ns"` // 0 while unfinished
-	Seq          uint64           `json:"seq,omitempty"`
-	Flags        []string         `json:"flags,omitempty"`
-	DroppedSpans int64            `json:"dropped_spans,omitempty"`
-	Phases       map[string]int64 `json:"phases,omitempty"`
-	Spans        []SpanSnapshot   `json:"spans"`
+	ID           string         `json:"id"`
+	Start        time.Time      `json:"start"`
+	DurNS        int64          `json:"dur_ns"` // 0 while unfinished
+	Seq          uint64         `json:"seq,omitempty"`
+	Flags        []string       `json:"flags,omitempty"`
+	DroppedSpans int64          `json:"dropped_spans,omitempty"`
+	Spans        []SpanSnapshot `json:"spans"`
 }
 
 // Snapshot renders the trace — possibly still being written to by a
@@ -257,14 +256,6 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		Seq:          t.seq.Load(),
 		Flags:        t.flagNames(),
 		DroppedSpans: t.droppedSpans.Load(),
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		if d := t.phases[p].Load(); d != 0 {
-			if out.Phases == nil {
-				out.Phases = make(map[string]int64, int(NumPhases))
-			}
-			out.Phases[phaseNames[p]] = d
-		}
 	}
 	n := t.nspans.Load()
 	if n > MaxSpans {
@@ -310,4 +301,56 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		out.Spans = append(out.Spans, ss)
 	}
 	return out
+}
+
+// logSummary renders the request log's phases field from the span tree:
+// the closed spans directly under the root, summed by name in first-seen
+// order, e.g. "queue=41µs build=12.3ms serialize=88µs". When the arena
+// overflowed it appends "dropped_spans=N", so the line never silently
+// under-reports. Empty when nothing was recorded. Allocates the
+// duration strings and the result; call on the logging path only.
+func (t *Trace) logSummary() string {
+	if t == nil {
+		return ""
+	}
+	var names [MaxSpans]string
+	var durs [MaxSpans]int64
+	k := 0
+	n := min(t.nspans.Load(), MaxSpans)
+	for i := int32(0); i < n; i++ {
+		sp := &t.spans[i]
+		if sp.state.Load() == 0 || sp.parent != 1 {
+			continue
+		}
+		d := sp.durNS.Load()
+		if d <= 0 {
+			continue // still open, or nothing to report
+		}
+		j := 0
+		for j < k && names[j] != sp.name {
+			j++
+		}
+		if j == k {
+			names[k] = sp.name
+			k++
+		}
+		durs[j] += d
+	}
+	b := make([]byte, 0, 256)
+	for j := 0; j < k; j++ {
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, names[j]...)
+		b = append(b, '=')
+		b = append(b, time.Duration(durs[j]).String()...)
+	}
+	if d := t.droppedSpans.Load(); d > 0 {
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "dropped_spans="...)
+		b = strconv.AppendInt(b, d, 10)
+	}
+	return string(b)
 }

@@ -250,3 +250,23 @@ func TestSnapshotParentRemapSkipsUnpublished(t *testing.T) {
 		t.Errorf("d: %+v, want parent -1 (unpublished parent)", snap.Spans[2])
 	}
 }
+
+// TestLogSummaryAllocs pins the request log's cost: summarizing a trace
+// with three phases allocates no more than the per-phase timers it
+// replaced did for the same trace (4 — a string per duration plus the
+// result).
+func TestLogSummaryAllocs(t *testing.T) {
+	tr := NewTrace("")
+	root := tr.StartSpan("request", SpanRef{})
+	now := time.Now()
+	tr.AddSpan("queue", root, now, 41*time.Microsecond)
+	tr.AddSpan("extend", root, now, 12300*time.Microsecond)
+	tr.AddSpan("serialize", root, now, 88*time.Microsecond)
+	root.End()
+	if got, want := tr.logSummary(), "queue=41µs extend=12.3ms serialize=88µs"; got != want {
+		t.Fatalf("logSummary = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = tr.logSummary() }); allocs > 4 {
+		t.Errorf("logSummary: %v allocs/op, want <= 4", allocs)
+	}
+}

@@ -1,16 +1,16 @@
 // Package telemetry is the repo's zero-dependency observability kernel:
 // a metrics registry (atomic counters, float gauges, fixed-bucket latency
 // histograms) with Prometheus text exposition, plus lightweight per-request
-// tracing (trace IDs propagated across cluster forwards, a fixed-phase
-// timer attributing a request to queue/coalesce-wait/build/extend/forward/
+// tracing (trace IDs propagated across cluster forwards, and a span tree
+// attributing a request to queue/coalesce_wait/build/extend/forward/
 // serialize spans).
 //
 // # Hot-path contract
 //
 // Recording is lock-free and allocation-free: Counter.Add and Gauge.Set are
 // single atomic operations, Histogram.Observe is a bounded linear scan over
-// the bucket bounds plus two atomics, and Trace.Add is one atomic add into
-// a fixed array. All recording methods are nil-receiver-safe, so
+// the bucket bounds plus two atomics, and Trace.AddSpan fills one slot of
+// a fixed arena. All recording methods are nil-receiver-safe, so
 // uninstrumented code paths pay one nil check and no branches at call
 // sites. Registration (Counter, Gauge, Histogram, Vec.With) takes locks
 // and allocates; do it at startup, never per sample. These properties are
@@ -304,4 +304,48 @@ func (f *family) sortedSeries() []*series {
 	}
 	f.mu.Unlock()
 	return out
+}
+
+// value reads a counter, gauge or func-backed series (0 for a histogram).
+func (s *series) value() float64 {
+	switch {
+	case s.c != nil:
+		return float64(s.c.Value())
+	case s.g != nil:
+		return s.g.Value()
+	case s.fn != nil:
+		return s.fn()
+	}
+	return 0
+}
+
+// read returns the current state of family name without rendering the
+// exposition: one value per counter or gauge series, and for a histogram
+// its cumulative le-buckets summed across series — the map
+// Scrape.Buckets returns, with +Inf under infBound. A missing family
+// reads as no values and an empty bucket map.
+func (r *Registry) read(name string) (values []float64, buckets map[float64]float64) {
+	buckets = make(map[float64]float64)
+	r.mu.Lock()
+	f := r.fams[name]
+	r.mu.Unlock()
+	if f == nil {
+		return nil, buckets
+	}
+	for _, s := range f.sortedSeries() {
+		if s.h == nil {
+			values = append(values, s.value())
+			continue
+		}
+		var cum uint64
+		for i, c := range s.h.snapshot() {
+			cum += c
+			le := infBound
+			if i < len(s.h.bounds) {
+				le = s.h.bounds[i]
+			}
+			buckets[le] += float64(cum)
+		}
+	}
+	return values, buckets
 }

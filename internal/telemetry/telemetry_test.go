@@ -154,20 +154,18 @@ func TestObserveDuration(t *testing.T) {
 }
 
 // TestRecordingZeroAllocs pins the hot-path contract: recording into any
-// metric type, and into a Trace, allocates nothing.
+// metric type allocates nothing (TestSpanZeroAlloc covers the Trace).
 func TestRecordingZeroAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("alloc_total", "")
 	g := r.Gauge("alloc_gauge", "")
 	h := r.Histogram("alloc_seconds", "", nil)
-	tr := NewTrace("")
 	cases := map[string]func(){
 		"counter_add":   func() { c.Add(1) },
 		"gauge_set":     func() { g.Set(3.14) },
 		"gauge_add":     func() { g.Add(1) },
 		"hist_observe":  func() { h.Observe(0.003) },
 		"hist_duration": func() { h.ObserveDuration(3 * time.Millisecond) },
-		"trace_add":     func() { tr.Add(PhaseBuild, time.Millisecond) },
 	}
 	for name, f := range cases {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {

@@ -13,9 +13,8 @@ import (
 	"time"
 )
 
-// Watchdog is the anomaly-capture loop: it polls its own registry (via
-// the same exposition text an external scraper would read, so what it
-// sees is exactly what /metrics says) and, when a trigger fires, writes
+// Watchdog is the anomaly-capture loop: it polls its own registry in
+// place (the same values /metrics exposes) and, when a trigger fires, writes
 // a diagnostics bundle — recent flight-recorder traces, a metrics
 // snapshot, goroutine and heap profiles, and a meta record — into its
 // directory. Triggers:
@@ -105,9 +104,9 @@ func NewWatchdog(reg *Registry, rec *Recorder, cfg WatchdogConfig) *Watchdog {
 	}
 }
 
-// Run polls until Close. Trigger evaluation errors are logged and the
-// loop keeps going: a broken watchdog must degrade to no diagnostics,
-// never to a crashed server.
+// Run polls until Close. Bundle write errors are logged and the loop
+// keeps going: a broken watchdog must degrade to no diagnostics, never
+// to a crashed server.
 func (w *Watchdog) Run() {
 	defer close(w.done)
 	ticker := time.NewTicker(w.cfg.Interval)
@@ -135,22 +134,13 @@ func (w *Watchdog) Close() {
 // Bundles reports how many bundles this watchdog has written.
 func (w *Watchdog) Bundles() int64 { return w.bundles.Load() }
 
-// tick evaluates every trigger against a fresh self-scrape.
+// tick evaluates every trigger against the registry's current values,
+// read in place: the numbers /metrics would expose, without rendering
+// and re-parsing the exposition text on every poll.
 func (w *Watchdog) tick() {
-	var b strings.Builder
-	if err := w.reg.WritePrometheus(&b); err != nil {
-		w.cfg.Logf("watchdog: self-scrape: %v", err)
-		return
-	}
-	sc, err := ParseText(strings.NewReader(b.String()))
-	if err != nil {
-		w.cfg.Logf("watchdog: parse self-scrape: %v", err)
-		return
-	}
-
 	// p99 over the last window: delta of the cumulative buckets.
 	if w.cfg.P99Budget > 0 {
-		buckets := sc.Buckets(w.cfg.HistogramName, nil)
+		_, buckets := w.reg.read(w.cfg.HistogramName)
 		if w.lastBuckets != nil {
 			delta := DeltaBuckets(w.lastBuckets, buckets)
 			if n := delta[infBound]; n >= float64(w.cfg.MinWindowSamples) {
@@ -165,8 +155,9 @@ func (w *Watchdog) tick() {
 
 	// Breaker open: any peer's exported state at 2.
 	breakerOpen := false
-	for _, smp := range sc.Samples {
-		if smp.Name == "cluster_breaker_state" && smp.Value >= 2 {
+	states, _ := w.reg.read("cluster_breaker_state")
+	for _, v := range states {
+		if v >= 2 {
 			breakerOpen = true
 			break
 		}
@@ -177,11 +168,11 @@ func (w *Watchdog) tick() {
 	w.breakerPrev = breakerOpen
 
 	// Readiness flap: ready fell from 1 to 0 while we watched.
-	if ready, ok := sc.Value("serve_ready", nil); ok {
-		if w.readyPrev == 1 && ready == 0 {
+	if ready, _ := w.reg.read("serve_ready"); len(ready) == 1 {
+		if w.readyPrev == 1 && ready[0] == 0 {
 			w.trigger("ready_flap", "ready_flap")
 		}
-		w.readyPrev = ready
+		w.readyPrev = ready[0]
 	}
 }
 
